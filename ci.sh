@@ -6,7 +6,9 @@
 # Stages (run all by default):
 #   ./ci.sh gate              build + tests + clippy
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
-#                             invalid --trace-out/--metrics-out JSON
+#                             invalid --trace-out/--metrics-out JSON, or
+#                             unless guard.oracle_runs is exactly one per
+#                             cell
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
 #                             fails if tables or metrics differ by a byte
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
@@ -37,7 +39,8 @@
 #                             injected variants run on both engines
 #                             (results, traces, bounded prefixes, sim
 #                             tables must match exactly), plus the golden
-#                             table byte-stability suite — in release mode,
+#                             table and guard-incident byte-stability
+#                             suites — in release mode,
 #                             the configuration the harness actually ships
 #   ./ci.sh kpath-smoke       the k-iteration / interprocedural scheme
 #                             family end to end: regenerate the Figure 4
@@ -91,6 +94,16 @@ obs_smoke() {
   test -s "$out/trace.json" || { echo "missing trace.json"; exit 1; }
   test -s "$out/metrics.json" || { echo "missing metrics.json"; exit 1; }
   cargo run --release --example validate_obs -- "$out/trace.json" "$out/metrics.json"
+  # The guard checks the whole transformed program once per oracle input,
+  # so this clean strict run (one input per cell) must record exactly one
+  # oracle execution per cell. One counter series per cell, one per line.
+  cells="$(grep -c '"name":"sim.cycles",.*"stage":"test"' "$out/metrics.json" || true)"
+  series="$(grep -c '"name":"guard.oracle_runs",' "$out/metrics.json" || true)"
+  ones="$(grep -c '"name":"guard.oracle_runs",.*"value":1}' "$out/metrics.json" || true)"
+  if [ "$cells" -eq 0 ] || [ "$series" -ne "$cells" ] || [ "$ones" -ne "$cells" ]; then
+    echo "guard.oracle_runs: $ones of $series series equal 1, want one per cell ($cells cells)"
+    exit 1
+  fi
   rm -rf "$out"
 }
 
@@ -510,6 +523,7 @@ interp_diff() {
   # debug as part of `gate`'s workspace tests.
   cargo test --release -q --test interp_diff
   cargo test --release -q --test guardrails
+  cargo test --release -q --test guard_incidents
   cargo test --release -q --test golden_tables
 }
 

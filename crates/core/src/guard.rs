@@ -8,25 +8,39 @@
 //! paper's numbers. This module makes the pipeline *fail safe* instead:
 //!
 //! - every failure class has a typed [`PipelineError`];
-//! - [`guarded_form_and_compact`] processes one procedure at a time inside a
-//!   recovery boundary: panics are caught, the structural verifier and a
-//!   seeded differential-interpretation oracle check the result, and on any
-//!   failure the procedure is rolled back to its pre-pass state;
+//! - [`guarded_form_and_compact`] runs a recovery boundary in two phases.
+//!   Phase 1 is per procedure: formation + compaction under
+//!   `catch_unwind`, then the structural verifier; any failure rolls the
+//!   procedure back to its pre-pass snapshot at once. Phase 2 runs the
+//!   seeded differential-interpretation oracle *once* over the whole
+//!   transformed program. Only when that run fails are the prefixes of the
+//!   unchecked procedures bisected for the first one that breaks it, which
+//!   is rolled back with the error a check right after it would have
+//!   reported; the procedures after it are then checked again;
 //! - in [`GuardMode::Degrade`] a failed procedure falls back to the
 //!   basic-block (singleton superblock) baseline and the run continues,
 //!   with a structured [`Incident`] recorded; in [`GuardMode::Strict`] the
-//!   first failure is returned as a hard `Err` — the right setting for CI
-//!   and for producing paper tables, where silent degradation would skew
-//!   comparisons.
+//!   first failure in procedure order is returned as a hard `Err` — the
+//!   right setting for CI and for producing paper tables, where silent
+//!   degradation would skew comparisons.
+//!
+//! The bisection reports the same incidents as checking after every
+//! procedure whenever oracle failure is monotone in the prefix: once a
+//! prefix of transformed procedures misbehaves, every longer one does too.
+//! A procedure a post-pass hook rewrote is judged as soon as it passes
+//! phase 1, so each hook sees earlier faults already rolled back.
+//! `tests/golden/guard_incidents.txt` pins the incident lists the
+//! per-procedure check produced.
 //!
 //! The oracle compares observable behaviour (output stream, return value,
 //! final memory) of the original and transformed program on configurable
-//! inputs under an instruction budget, using [`Interp::run_bounded`] so
-//! long-running programs are compared on output *prefixes* instead of being
-//! misreported as failures. A transformed procedure that blows through a
-//! generous multiple of the original's budget is reported as
-//! [`PipelineError::StepBudgetExceeded`] — the symptom of a miscompiled
-//! loop exit.
+//! inputs under an instruction budget, using bounded runs on the fast
+//! [`Exec`] engine so long-running programs are compared on output
+//! *prefixes* instead of being misreported as failures. A transformed
+//! program that blows through a generous multiple of the original's budget
+//! is reported as [`PipelineError::StepBudgetExceeded`] — the symptom of a
+//! miscompiled loop exit. [`GuardReport::oracle_runs`] counts the
+//! transformed-program executions: one per input on a clean run.
 //!
 //! The companion fault-injection harness (`pps_ir::fault`) corrupts
 //! post-pass IR the way a buggy pass would; `tests/guardrails.rs` drives
@@ -42,7 +56,7 @@ use pps_compact::{
 use pps_ir::analysis::Cfg;
 use pps_ir::interp::{BoundedRun, ExecConfig, ExecError};
 use pps_ir::verify::{verify_program, VerifyError};
-use pps_ir::{AnalysisCache, Exec, ProcId, Program};
+use pps_ir::{AnalysisCache, Exec, Proc, ProcId, Program};
 use pps_obs::{ArgValue, Level, Obs};
 use pps_profile::{EdgeProfile, PathProfile};
 use std::fmt;
@@ -282,6 +296,10 @@ pub struct GuardReport {
     pub degraded_procs: usize,
     /// Total procedures processed.
     pub total_procs: usize,
+    /// Whole-program oracle executions of transformed code, one per input
+    /// per check: `oracle_inputs.len()` on a clean run, independent of the
+    /// number of procedures.
+    pub oracle_runs: u64,
 }
 
 impl GuardReport {
@@ -309,22 +327,23 @@ pub struct GuardedResult {
 /// Forms and compacts `program` with per-procedure recovery.
 ///
 /// Procedures are processed in order. For each one, formation + compaction
-/// run inside `catch_unwind`; afterwards the structural verifier and (when
-/// `guard.oracle_inputs` is non-empty) the differential oracle check the
-/// whole transformed program. On failure the procedure is restored from a
-/// snapshot and — in degrade mode — re-compacted as basic-block singletons,
-/// so the returned schedules always cover every procedure.
+/// run inside `catch_unwind` and the structural verifier checks the whole
+/// program; when `guard.oracle_inputs` is non-empty, the differential
+/// oracle then checks the whole transformed program once, bisecting only
+/// on failure (see the module docs). A failed procedure is restored from a
+/// snapshot and — in degrade mode — re-compacted as basic-block
+/// singletons, so the returned schedules always cover every procedure.
 ///
 /// When nothing fails this computes exactly what
 /// [`crate::pipeline::form_and_compact`] computes (same per-procedure
 /// iteration order, same results).
 ///
 /// # Errors
-/// In strict mode, the first incident is returned as its underlying
-/// [`PipelineError`]. In degrade mode an error is returned only when the
-/// scheme needed a missing path profile, or when even the basic-block
-/// fallback of a procedure failed (which indicates corruption outside the
-/// pipeline's control).
+/// In strict mode, the first incident in procedure order is returned as
+/// its underlying [`PipelineError`]. In degrade mode an error is returned
+/// only when the scheme needed a missing path profile, or when even the
+/// basic-block fallback of a procedure failed (which indicates corruption
+/// outside the pipeline's control).
 pub fn guarded_form_and_compact(
     program: &mut Program,
     edge: &EdgeProfile,
@@ -347,8 +366,9 @@ pub fn guarded_form_and_compact(
 }
 
 /// [`guarded_form_and_compact`] with observability: per-procedure
-/// `schedule-proc` spans (with `form` / `compact` / `guard-verify` /
-/// `oracle` children), `guard.incidents` counters labeled by failure kind
+/// `schedule-proc` spans (with `form` / `compact` / `guard-verify`
+/// children), one `oracle` span per whole-program oracle check,
+/// `guard.oracle_runs`, `guard.incidents` counters labeled by failure kind
 /// and pass, `guard.degraded_procs`, and one `incident` trace event plus a
 /// warning log line per recovered failure.
 ///
@@ -385,6 +405,8 @@ pub fn guarded_form_and_compact_obs(
 /// to emulate a buggy pass (`pps_ir::fault::FaultInjector` corrupting the
 /// just-scheduled procedure). The hook must only mutate procedure `pid`:
 /// the recovery boundary snapshots and restores exactly that procedure.
+/// A hook that changes the procedure's [`Proc::generation`] has it
+/// oracle-checked before the next procedure is formed.
 ///
 /// # Errors
 /// As [`guarded_form_and_compact`].
@@ -453,118 +475,279 @@ fn guarded_impl(
     }
 
     // Ground truth for the oracle: the untransformed program's behaviour.
-    let baseline_config = ExecConfig {
-        max_instrs: guard.step_budget,
-        ..ExecConfig::default()
+    let oracle = {
+        let _span = obs
+            .span("oracle-baseline")
+            .arg("inputs", guard.oracle_inputs.len());
+        Oracle::new(
+            program,
+            &guard.oracle_inputs,
+            guard.step_budget,
+            guard.budget_factor,
+        )
     };
-    let baselines: Vec<Result<BoundedRun, ExecError>> = {
-        let _span = obs.span("oracle-baseline").arg("inputs", guard.oracle_inputs.len());
-        let exec = Exec::new(program, baseline_config);
-        guard
-            .oracle_inputs
-            .iter()
-            .map(|args| exec.run_bounded(args))
-            .collect()
-    };
-
-    // Decoded-stream cache for the per-procedure oracle runs below: after
-    // each attempt only procedure `pid` has a new generation, so only it
-    // re-decodes.
-    let mut oracle_cache = AnalysisCache::new();
-
-    let mut stats = FormStats {
-        static_before: program.static_size() as u64,
-        ..FormStats::default()
-    };
-    // `static_after` measures the *formed* program (pre-compaction stubs),
-    // matching `form_program`; accumulated per procedure since formation and
-    // compaction interleave here.
-    let mut static_after: u64 = 0;
-    let mut partition: Vec<Vec<SuperblockSpec>> = Vec::with_capacity(program.procs.len());
-    let mut compacted: Vec<CompactedProc> = Vec::with_capacity(program.procs.len());
-    let mut report = GuardReport {
-        total_procs: program.procs.len(),
-        ..GuardReport::default()
+    let mut boundary = Boundary {
+        guard,
+        compact_config,
+        obs,
+        oracle,
+        pending: Vec::new(),
+        stats: FormStats {
+            static_before: program.static_size() as u64,
+            ..FormStats::default()
+        },
+        static_after: 0,
+        partition: Vec::with_capacity(program.procs.len()),
+        compacted: Vec::with_capacity(program.procs.len()),
+        report: GuardReport {
+            total_procs: program.procs.len(),
+            ..GuardReport::default()
+        },
     };
 
+    // Phase 1, per procedure: anything that fails here is rolled back at
+    // once. Survivors queue for the whole-program oracle (phase 2).
     for pi in 0..program.procs.len() {
         let pid = ProcId::new(pi as u32);
-        let proc_name = program.proc(pid).name.clone();
+        let name = program.proc(pid).name.clone();
         let snapshot = program.proc(pid).clone();
-        let stats_snapshot = stats;
+        let mut stats = FormStats::default();
 
-        let proc_obs = obs.with_label("proc", proc_name.as_str());
-        let proc_span = proc_obs.span("schedule-proc").arg("proc", proc_name.as_str());
+        let proc_obs = obs.with_label("proc", name.as_str());
+        let proc_span = proc_obs.span("schedule-proc").arg("proc", name.as_str());
         let attempt = attempt_proc(
-            program, pid, edge, path, scheme, form_config, compact_config, guard, &baselines,
-            &mut stats, post_pass, &mut oracle_cache, &proc_obs,
+            program,
+            pid,
+            edge,
+            path,
+            scheme,
+            form_config,
+            compact_config,
+            &mut stats,
+            post_pass,
+            &proc_obs,
         );
         drop(proc_span);
         match attempt {
-            Ok((specs, cp, formed_size)) => {
-                static_after += formed_size;
-                partition.push(specs);
-                compacted.push(cp);
+            Ok(((specs, cp, formed_size), hooked)) => {
+                boundary.pending.push(Pending {
+                    pid,
+                    name,
+                    other: snapshot,
+                    specs,
+                    cp,
+                    formed_size,
+                    stats,
+                });
+                // A hook that rewrote the procedure (a fault injector) is
+                // judged now, so the next hook sees a program whose earlier
+                // faults are already rolled back.
+                if hooked {
+                    boundary.settle(program)?;
+                }
             }
             Err((pass, error)) => {
-                // Roll back: only procedure `pid` was touched.
                 *program.proc_mut(pid) = snapshot;
-                stats = stats_snapshot;
-                let fallback = guard.mode == GuardMode::Degrade;
-                let incident = Incident {
-                    proc: proc_name.clone(),
-                    pass,
-                    error: error.clone(),
-                    fallback,
-                };
-                obs.counter_labeled(
-                    "guard.incidents",
-                    &[("kind", error.kind()), ("pass", pass.name())],
-                    1,
-                );
-                obs.instant(
-                    "guard",
-                    "incident",
-                    &[
-                        ("proc", ArgValue::from(proc_name.as_str())),
-                        ("pass", ArgValue::from(pass.name())),
-                        ("kind", ArgValue::from(error.kind())),
-                        ("error", ArgValue::from(error.to_string())),
-                        ("fallback", ArgValue::from(fallback)),
-                    ],
-                );
-                obs.log(Level::Warn, || format!("incident: {incident}"));
-                report.incidents.push(incident);
-                if !fallback {
-                    return Err(error);
-                }
-                obs.counter("guard.degraded_procs", 1);
-                // Degrade: schedule the pristine procedure as basic-block
-                // singletons. This is the baseline path every scheme shares;
-                // if even it fails, recovery is impossible.
-                static_after += program.proc(pid).static_size() as u64;
-                let specs = singleton_specs(program, pid);
-                let cp = try_compact_proc_obs(program.proc_mut(pid), &specs, compact_config, &proc_obs)?;
-                verify_program(program)?;
-                report.degraded_procs += 1;
-                partition.push(specs);
-                compacted.push(cp);
+                // Earlier procedures' oracle verdicts come first, judged on
+                // the program the sequential check saw (`pid` untouched).
+                boundary.settle(program)?;
+                boundary.fail(program, pid, &name, pass, error)?;
             }
         }
     }
-
-    stats.static_after = static_after;
-    stats.superblocks = partition.iter().map(|p| p.len() as u64).sum();
-    Ok(GuardedResult {
-        compacted: CompactedProgram { procs: compacted },
-        partition,
-        stats,
-        report,
-    })
+    boundary.settle(program)?;
+    Ok(boundary.finish())
 }
 
-/// One procedure's form + compact + verify + oracle attempt. On `Err`, the
-/// caller rolls the procedure back; the pass tag says where it failed.
+/// A procedure that passed phase 1 and awaits the whole-program oracle.
+struct Pending {
+    pid: ProcId,
+    name: String,
+    /// The pre-pass body — or, while a bisection probe has the procedure
+    /// restored, the transformed body.
+    other: Proc,
+    specs: Vec<SuperblockSpec>,
+    cp: CompactedProc,
+    formed_size: u64,
+    /// This procedure's formation counters, merged on acceptance.
+    stats: FormStats,
+}
+
+/// The recovery boundary's state: the oracle, the procedures awaiting it,
+/// and every decision made so far, in procedure order.
+struct Boundary<'a> {
+    guard: &'a GuardConfig,
+    compact_config: &'a CompactConfig,
+    obs: &'a Obs,
+    oracle: Oracle<'a>,
+    /// Transformed procedures not yet oracle-checked, in procedure order.
+    pending: Vec<Pending>,
+    stats: FormStats,
+    /// `static_after` measures the *formed* program (pre-compaction
+    /// stubs), matching `form_program`; accumulated per procedure since
+    /// formation and compaction interleave here.
+    static_after: u64,
+    partition: Vec<Vec<SuperblockSpec>>,
+    compacted: Vec<CompactedProc>,
+    report: GuardReport,
+}
+
+impl Boundary<'_> {
+    /// Phase 2: one oracle run over the whole program decides every
+    /// pending procedure at once. Only when it fails are the pending
+    /// prefixes bisected — prefix `k` keeps the first `k` pending
+    /// procedures transformed and restores the rest — for the first
+    /// failing one. That procedure is rolled back with the error its
+    /// prefix produced (exactly what a check right after it would have
+    /// reported), and the procedures after it are checked again.
+    fn settle(&mut self, program: &mut Program) -> Result<(), PipelineError> {
+        while !self.pending.is_empty() {
+            let n = self.pending.len();
+            let Some(mut error) = self.probe(program, n) else {
+                for p in std::mem::take(&mut self.pending) {
+                    self.accept(p);
+                }
+                return Ok(());
+            };
+            // Prefix `lo` is known clean (prefix 0 is the program the last
+            // settle accepted), prefix `hi` known failing with `error`.
+            let (mut lo, mut hi) = (0, n);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                self.swap_bodies(program, mid);
+                let verdict = self.probe(program, mid);
+                self.swap_bodies(program, mid);
+                match verdict {
+                    Some(e) => (hi, error) = (mid, e),
+                    None => lo = mid,
+                }
+            }
+            let rest = self.pending.split_off(hi);
+            let culprit = self.pending.pop().expect("a failing prefix is non-empty");
+            for p in std::mem::replace(&mut self.pending, rest) {
+                self.accept(p);
+            }
+            *program.proc_mut(culprit.pid) = culprit.other;
+            self.fail(program, culprit.pid, &culprit.name, Pass::Oracle, error)?;
+        }
+        Ok(())
+    }
+
+    /// Oracle-checks the program with the first `k` pending procedures
+    /// transformed, attributing a failure to the `k`-th.
+    fn probe(&mut self, program: &Program, k: usize) -> Option<PipelineError> {
+        let _span = self
+            .obs
+            .span("oracle")
+            .arg("procs", k)
+            .arg("inputs", self.guard.oracle_inputs.len());
+        let before = self.oracle.runs;
+        let verdict = self.oracle.check(program, &self.pending[k - 1].name);
+        self.obs
+            .counter("guard.oracle_runs", self.oracle.runs - before);
+        verdict
+    }
+
+    /// Swaps the program's and the pending record's bodies of every pending
+    /// procedure from index `k` on: once to restore them for a probe, once
+    /// more to put the transformed bodies back.
+    fn swap_bodies(&mut self, program: &mut Program, k: usize) {
+        for p in &mut self.pending[k..] {
+            std::mem::swap(program.proc_mut(p.pid), &mut p.other);
+        }
+    }
+
+    fn accept(&mut self, p: Pending) {
+        self.stats.absorb(&p.stats);
+        self.static_after += p.formed_size;
+        self.partition.push(p.specs);
+        self.compacted.push(p.cp);
+    }
+
+    /// Records the incident of procedure `pid` (already rolled back) and,
+    /// in degrade mode, schedules it as the basic-block baseline.
+    fn fail(
+        &mut self,
+        program: &mut Program,
+        pid: ProcId,
+        proc_name: &str,
+        pass: Pass,
+        error: PipelineError,
+    ) -> Result<(), PipelineError> {
+        let obs = self.obs;
+        let fallback = self.guard.mode == GuardMode::Degrade;
+        let incident = Incident {
+            proc: proc_name.to_string(),
+            pass,
+            error: error.clone(),
+            fallback,
+        };
+        obs.counter_labeled(
+            "guard.incidents",
+            &[("kind", error.kind()), ("pass", pass.name())],
+            1,
+        );
+        obs.instant(
+            "guard",
+            "incident",
+            &[
+                ("proc", ArgValue::from(proc_name)),
+                ("pass", ArgValue::from(pass.name())),
+                ("kind", ArgValue::from(error.kind())),
+                ("error", ArgValue::from(error.to_string())),
+                ("fallback", ArgValue::from(fallback)),
+            ],
+        );
+        obs.log(Level::Warn, || format!("incident: {incident}"));
+        self.report.incidents.push(incident);
+        if !fallback {
+            return Err(error);
+        }
+        obs.counter("guard.degraded_procs", 1);
+        // Degrade: schedule the pristine procedure as basic-block
+        // singletons. This is the baseline path every scheme shares; if
+        // even it fails, recovery is impossible.
+        self.static_after += program.proc(pid).static_size() as u64;
+        let specs = singleton_specs(program, pid);
+        let proc_obs = obs.with_label("proc", proc_name);
+        let cp = try_compact_proc_obs(
+            program.proc_mut(pid),
+            &specs,
+            self.compact_config,
+            &proc_obs,
+        )?;
+        verify_program(program)?;
+        self.report.degraded_procs += 1;
+        self.partition.push(specs);
+        self.compacted.push(cp);
+        Ok(())
+    }
+
+    fn finish(self) -> GuardedResult {
+        let mut stats = self.stats;
+        stats.static_after = self.static_after;
+        stats.superblocks = self.partition.iter().map(|p| p.len() as u64).sum();
+        GuardedResult {
+            compacted: CompactedProgram {
+                procs: self.compacted,
+            },
+            partition: self.partition,
+            stats,
+            report: GuardReport {
+                oracle_runs: self.oracle.runs,
+                ..self.report
+            },
+        }
+    }
+}
+
+/// One procedure's partition, schedules and formed (pre-stub) size.
+type Scheduled = (Vec<SuperblockSpec>, CompactedProc, u64);
+
+/// Phase 1 for one procedure: form + compact, the post-pass hook, and the
+/// structural verifier. On `Err` the caller rolls the procedure back; the
+/// pass tag says where it failed. On `Ok` the flag says whether the hook
+/// rewrote the procedure.
 #[allow(clippy::too_many_arguments)]
 fn attempt_proc(
     program: &mut Program,
@@ -574,19 +757,16 @@ fn attempt_proc(
     scheme: Scheme,
     form_config: &FormConfig,
     compact_config: &CompactConfig,
-    guard: &GuardConfig,
-    baselines: &[Result<BoundedRun, ExecError>],
     stats: &mut FormStats,
     post_pass: &mut dyn FnMut(&mut Program, ProcId),
-    oracle_cache: &mut AnalysisCache,
     obs: &Obs,
-) -> Result<(Vec<SuperblockSpec>, CompactedProc, u64), (Pass, PipelineError)> {
+) -> Result<(Scheduled, bool), (Pass, PipelineError)> {
     let proc_name = program.proc(pid).name.clone();
 
     // Formation + compaction under a panic boundary. Everything these
     // passes mutate is the procedure itself (restored by the caller on
-    // failure) and `stats` (snapshot-restored likewise), so unwinding here
-    // cannot leave broken shared state behind.
+    // failure) and `stats` (discarded likewise), so unwinding here cannot
+    // leave broken shared state behind.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (specs, _orig) =
             form_proc_partition_obs(program, pid, edge, path, scheme, form_config, stats, obs)
@@ -612,33 +792,79 @@ fn attempt_proc(
         }
     };
 
+    let generation = program.proc(pid).generation();
     post_pass(program, pid);
+    let hooked = program.proc(pid).generation() != generation;
 
     // Post-pass structural check over the whole program (procedures before
     // `pid` are already validated; later ones untouched — a failure here is
     // attributable to `pid`).
-    let verify_span = obs.span("guard-verify");
-    if let Err(e) = verify_program(program) {
-        return Err((Pass::Verification, PipelineError::Verification(e)));
-    }
-    drop(verify_span);
+    let _verify_span = obs.span("guard-verify");
+    verify_program(program).map_err(|e| (Pass::Verification, PipelineError::Verification(e)))?;
+    Ok(((specs, cp, formed_size), hooked))
+}
 
-    // Differential oracle: the transformed program must reproduce the
-    // original's observable behaviour on every oracle input.
-    let _oracle_span = obs.span("oracle").arg("inputs", baselines.len());
-    let transformed_config = ExecConfig {
-        max_instrs: guard.step_budget.saturating_mul(guard.budget_factor.max(1)),
-        ..ExecConfig::default()
-    };
-    let oracle_exec = Exec::new_cached(program, transformed_config, oracle_cache);
-    for (input_index, baseline) in baselines.iter().enumerate() {
-        let run = oracle_exec.run_bounded(&guard.oracle_inputs[input_index]);
-        if let Some(error) = oracle_check(&proc_name, input_index, baseline, &run) {
-            return Err((Pass::Oracle, error));
+/// The differential oracle: the untransformed program's bounded behaviour
+/// on each input, and a counted check of a transformed program against it
+/// on the fast engine. Shared by the scheduling guard and
+/// [`crate::inline`].
+pub(crate) struct Oracle<'a> {
+    inputs: &'a [Vec<i64>],
+    baselines: Vec<Result<BoundedRun, ExecError>>,
+    config: ExecConfig,
+    /// Decoded-stream cache: between checks only the procedures that were
+    /// transformed, rolled back or swapped have new bodies, so only they
+    /// re-decode.
+    cache: AnalysisCache,
+    /// Transformed-program executions so far, one per input checked.
+    pub(crate) runs: u64,
+}
+
+impl<'a> Oracle<'a> {
+    /// Records `program`'s behaviour on `inputs` within `step_budget`
+    /// instructions; transformed programs later get `budget_factor` times
+    /// that budget.
+    pub(crate) fn new(
+        program: &Program,
+        inputs: &'a [Vec<i64>],
+        step_budget: u64,
+        budget_factor: u64,
+    ) -> Self {
+        let exec = Exec::new(
+            program,
+            ExecConfig {
+                max_instrs: step_budget,
+                ..ExecConfig::default()
+            },
+        );
+        Oracle {
+            inputs,
+            baselines: inputs.iter().map(|args| exec.run_bounded(args)).collect(),
+            config: ExecConfig {
+                max_instrs: step_budget.saturating_mul(budget_factor.max(1)),
+                ..ExecConfig::default()
+            },
+            cache: AnalysisCache::new(),
+            runs: 0,
         }
     }
 
-    Ok((specs, cp, formed_size))
+    /// Runs `program` on the inputs in order and returns the first
+    /// inconsistency with the baseline, attributed to procedure `proc`.
+    pub(crate) fn check(&mut self, program: &Program, proc: &str) -> Option<PipelineError> {
+        if self.inputs.is_empty() {
+            return None;
+        }
+        let exec = Exec::new_cached(program, self.config, &mut self.cache);
+        for (input_index, (args, baseline)) in self.inputs.iter().zip(&self.baselines).enumerate() {
+            self.runs += 1;
+            let run = exec.run_bounded(args);
+            if let Some(error) = oracle_check(proc, input_index, baseline, &run) {
+                return Some(error);
+            }
+        }
+        None
+    }
 }
 
 /// Compares one oracle input's baseline and transformed runs. `None` means
@@ -816,9 +1042,12 @@ mod tests {
 
     #[test]
     fn clean_run_matches_unguarded_pipeline() {
-        for scheme in [Scheme::BasicBlock, Scheme::M4, Scheme::P4, Scheme::P4E] {
-            let base = workload();
-            let (ep, pp) = profiles(&base, 150);
+        let schemes = [Scheme::BasicBlock, Scheme::M4, Scheme::P4, Scheme::P4E];
+        for (base, scheme) in [workload(), helpers(7)]
+            .iter()
+            .flat_map(|base| schemes.map(|scheme| (base, scheme)))
+        {
+            let (ep, pp) = profiles(base, 150);
 
             let mut unguarded = base.clone();
             let (_, stats_u) = form_and_compact(
@@ -852,6 +1081,10 @@ mod tests {
                 scheme.name()
             );
             assert_eq!(result.stats, stats_u, "{}", scheme.name());
+            // One whole-program oracle execution per input, however many
+            // procedures there are.
+            let inputs = test_guard(GuardMode::Strict).oracle_inputs.len() as u64;
+            assert_eq!(result.report.oracle_runs, inputs, "{}", scheme.name());
         }
     }
 
@@ -952,6 +1185,230 @@ mod tests {
             ),
             "unexpected error class: {err}"
         );
+    }
+
+    /// `main(n)` sums `n_helpers` small helpers over `0..n`, printing the
+    /// running sum each iteration: one `main` plus many procedures whose
+    /// failures the guard must tell apart.
+    fn helpers(n_helpers: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let mut procs = Vec::new();
+        for k in 1..=n_helpers {
+            let mut h = pb.begin_proc(format!("h{k}"), 1);
+            let x = Reg::new(0);
+            let m = h.reg();
+            let y = h.reg();
+            let odd = h.new_block();
+            let even = h.new_block();
+            let join = h.new_block();
+            h.alu(AluOp::Rem, m, x, 2i64);
+            h.branch(m, odd, even);
+            h.switch_to(odd);
+            h.alu(AluOp::Mul, y, x, k + 2);
+            h.jump(join);
+            h.switch_to(even);
+            h.alu(AluOp::Add, y, x, 10 * k);
+            h.jump(join);
+            h.switch_to(join);
+            h.ret(Some(Operand::Reg(y)));
+            procs.push(h.finish());
+        }
+        let mut f = pb.begin_proc("main", 1);
+        let n = Reg::new(0);
+        let i = f.reg();
+        let acc = f.reg();
+        let c = f.reg();
+        let t = f.reg();
+        f.mov(i, 0i64);
+        f.mov(acc, 0i64);
+        let head = f.new_block();
+        let body = f.new_block();
+        let exit = f.new_block();
+        f.jump(head);
+        f.switch_to(head);
+        f.alu(AluOp::CmpLt, c, Operand::Reg(i), Operand::Reg(n));
+        f.branch(c, body, exit);
+        f.switch_to(body);
+        for &h in &procs {
+            f.call(h, vec![Operand::Reg(i)], Some(t));
+            f.alu(AluOp::Add, acc, acc, Operand::Reg(t));
+        }
+        f.out(Operand::Reg(acc));
+        f.alu(AluOp::Add, i, i, 1i64);
+        f.jump(head);
+        f.switch_to(exit);
+        f.ret(Some(Operand::Reg(acc)));
+        let main = f.finish();
+        pb.finish(main)
+    }
+
+    /// A miscompile the guard cannot see until it runs the program: every
+    /// multiply by a constant multiplies by one more. Edited in place, so
+    /// the procedure keeps its pass-given generation and the hook counts
+    /// as part of the pass.
+    fn corrupt_silently(program: &mut Program, pid: ProcId) {
+        for block in &mut program.procs[pid.index()].blocks {
+            for instr in &mut block.instrs {
+                if let pps_ir::Instr::Alu {
+                    op: AluOp::Mul,
+                    rhs: Operand::Imm(c),
+                    ..
+                } = instr
+                {
+                    *c += 1;
+                }
+            }
+        }
+    }
+
+    /// A structural fault the verifier rejects (a jump out of the CFG).
+    fn corrupt_structurally(program: &mut Program, pid: ProcId) {
+        let proc = program.proc_mut(pid);
+        let entry = proc.entry;
+        proc.block_mut(entry).term = pps_ir::Terminator::Jump {
+            target: pps_ir::BlockId::new(9999),
+        };
+    }
+
+    fn guard_hooked(
+        base: &Program,
+        scheme: Scheme,
+        mode: GuardMode,
+        hook: &mut dyn FnMut(&mut Program, ProcId),
+    ) -> (Program, Result<GuardedResult, PipelineError>) {
+        let (ep, pp) = profiles(base, 40);
+        let mut program = base.clone();
+        let result = guarded_form_and_compact_hooked(
+            &mut program,
+            &ep,
+            Some(&pp),
+            scheme,
+            &FormConfig::default(),
+            &CompactConfig::default(),
+            &test_guard(mode),
+            hook,
+        );
+        (program, result)
+    }
+
+    #[test]
+    fn one_failing_procedure_costs_a_logarithmic_number_of_runs() {
+        let base = helpers(7);
+        let n = base.procs.len() as u64;
+        let inputs = test_guard(GuardMode::Degrade).oracle_inputs.len() as u64;
+        let log2_n = u64::from(n.next_power_of_two().trailing_zeros());
+        let expected = Interp::new(&base, ExecConfig::default())
+            .run(&[87])
+            .unwrap();
+        for culprit in 0..n as usize {
+            let (program, result) =
+                guard_hooked(&base, Scheme::P4, GuardMode::Degrade, &mut |prog, pid| {
+                    if pid.index() == culprit {
+                        corrupt_silently(prog, pid);
+                    }
+                });
+            let name = &base.procs[culprit].name;
+            let result = result.unwrap();
+            if name == "main" {
+                // `main` multiplies by no constant: nothing to corrupt.
+                assert!(result.report.clean());
+                continue;
+            }
+            let incidents = &result.report.incidents;
+            assert_eq!(incidents.len(), 1, "{name}: {incidents:?}");
+            assert_eq!(&incidents[0].proc, name);
+            assert_eq!(incidents[0].pass, Pass::Oracle);
+            assert!(
+                matches!(&incidents[0].error, PipelineError::Divergence { proc, .. } if proc == name)
+            );
+            assert!(
+                result.report.oracle_runs <= (1 + log2_n + 1) * inputs,
+                "{name}: {} runs for {n} procs",
+                result.report.oracle_runs
+            );
+            let got = Interp::new(&program, ExecConfig::default())
+                .run(&[87])
+                .unwrap();
+            assert_eq!(expected.output, got.output, "{name}");
+        }
+    }
+
+    #[test]
+    fn strict_mode_reports_an_earlier_divergence_before_a_later_verify_failure() {
+        let base = helpers(5);
+        let (i, j) = (1, 3);
+        let mut hook = |prog: &mut Program, pid: ProcId| {
+            if pid.index() == i {
+                corrupt_silently(prog, pid);
+            } else if pid.index() == j {
+                corrupt_structurally(prog, pid);
+            }
+        };
+        let (_, strict) = guard_hooked(&base, Scheme::M4, GuardMode::Strict, &mut hook);
+        match strict.unwrap_err() {
+            PipelineError::Divergence { proc, .. } => assert_eq!(proc, base.procs[i].name),
+            other => panic!("expected h{}'s divergence, got {other}", i + 1),
+        }
+
+        let (_, degrade) = guard_hooked(&base, Scheme::M4, GuardMode::Degrade, &mut hook);
+        let report = degrade.unwrap().report;
+        let got: Vec<(&str, Pass)> = report
+            .incidents
+            .iter()
+            .map(|x| (x.proc.as_str(), x.pass))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (base.procs[i].name.as_str(), Pass::Oracle),
+                (base.procs[j].name.as_str(), Pass::Verification)
+            ]
+        );
+    }
+
+    /// The shared oracle (`core::inline` checks with it too) compares final
+    /// memory, and requires an original that errors to fail the same way.
+    #[test]
+    fn oracle_compares_memory_and_error_identity() {
+        /// Stores `stored` to address 0 and prints 1; on a non-zero
+        /// argument it then loads from `fault_addr`, outside memory.
+        fn tiny(stored: i64, fault_addr: i64) -> Program {
+            let mut pb = ProgramBuilder::new();
+            pb.set_memory(16, Vec::new());
+            let mut f = pb.begin_proc("main", 1);
+            let x = Reg::new(0);
+            let base = f.reg();
+            let v = f.reg();
+            let fault = f.new_block();
+            let done = f.new_block();
+            f.mov(base, 0i64);
+            f.store(stored, base, 0);
+            f.out(1i64);
+            f.branch(x, fault, done);
+            f.switch_to(fault);
+            f.load(v, base, fault_addr);
+            f.ret(Some(Operand::Reg(v)));
+            f.switch_to(done);
+            f.ret(Some(Operand::Imm(0)));
+            let main = f.finish();
+            pb.finish(main)
+        }
+        let inputs = vec![vec![0], vec![1]];
+        let mut oracle = Oracle::new(&tiny(5, 100), &inputs, 1_000, 8);
+        assert_eq!(oracle.check(&tiny(5, 100), "main"), None);
+        assert_eq!(
+            oracle.check(&tiny(6, 100), "main"),
+            Some(PipelineError::Divergence {
+                proc: "main".to_string(),
+                input_index: 0,
+                detail: "final memory images differ".to_string(),
+            })
+        );
+        assert!(matches!(
+            oracle.check(&tiny(5, 200), "main"),
+            Some(PipelineError::Divergence { input_index: 1, .. })
+        ));
+        assert_eq!(oracle.runs, 2 + 1 + 2);
     }
 
     #[test]

@@ -4,18 +4,19 @@
 //! splices the callee bodies in with [`pps_ir::inline::inline_call`],
 //! caller by caller behind the same recovery discipline the scheduling
 //! guard uses: per-caller snapshot, `catch_unwind` around the mutation,
-//! structural verification of the whole program, a bounded differential
-//! oracle against the pre-inline baseline, and rollback of exactly the
-//! offending caller on any failure. Accepted callers stay inlined; a
-//! rolled-back caller simply keeps its calls, so the subsequent path-based
-//! formation degrades gracefully to intra-procedural behaviour there.
+//! structural verification of the whole program, the guard's bounded
+//! differential oracle against the pre-inline baseline, and rollback of
+//! exactly the offending caller on any failure. Accepted callers stay
+//! inlined; a rolled-back caller simply keeps its calls, so the subsequent
+//! path-based formation degrades gracefully to intra-procedural behaviour
+//! there.
 //!
 //! Profiles trained on the original program do not describe the cloned
 //! blocks, so `Px4` re-trains its edge/path pair *after* this phase — the
 //! two-phase flow lives in the serve runner.
 
+use crate::guard::Oracle;
 use pps_ir::inline::{call_sites, inline_call, REG_FILE_CAP};
-use pps_ir::interp::{ExecConfig, Interp};
 use pps_ir::verify::verify_program;
 use pps_ir::{BlockId, ProcId, Program};
 use pps_profile::EdgeProfile;
@@ -134,16 +135,7 @@ pub fn inline_hot_calls(
     }
 
     // Oracle ground truth: the pre-inline program's bounded behaviour.
-    let baseline_config = ExecConfig { max_instrs: config.step_budget, ..ExecConfig::default() };
-    let baselines: Vec<_> = config
-        .oracle_inputs
-        .iter()
-        .map(|args| Interp::new(program, baseline_config).run_bounded(args))
-        .collect();
-    let checked_config = ExecConfig {
-        max_instrs: config.step_budget.saturating_mul(8),
-        ..ExecConfig::default()
-    };
+    let mut oracle = Oracle::new(program, &config.oracle_inputs, config.step_budget, 8);
 
     for (caller, mut sites) in by_caller {
         sites.sort_by_key(|s| std::cmp::Reverse((s.0, s.1)));
@@ -168,22 +160,7 @@ pub fn inline_hot_calls(
         let healthy = match attempt {
             Ok(Ok(())) => {
                 verify_program(program).is_ok()
-                    && baselines.iter().zip(&config.oracle_inputs).all(|(want, args)| {
-                        let got = Interp::new(program, checked_config).run_bounded(args);
-                        match (want, &got) {
-                            (Ok(a), Ok(b)) => {
-                                if a.completed && b.completed {
-                                    a.result.output == b.result.output
-                                        && a.result.return_value == b.result.return_value
-                                } else {
-                                    let n = a.result.output.len().min(b.result.output.len());
-                                    a.result.output[..n] == b.result.output[..n]
-                                }
-                            }
-                            (Err(_), Err(_)) => true,
-                            _ => false,
-                        }
-                    })
+                    && oracle.check(program, &program.proc(caller).name).is_none()
             }
             Ok(Err(skipped)) => {
                 // Policy skip mid-batch (register pressure): keep what

@@ -33,6 +33,19 @@ pub struct FormStats {
     pub static_after: u64,
 }
 
+impl FormStats {
+    /// Adds one procedure's pass counters (`local`, collected from a
+    /// zeroed `FormStats`) into this program-level total. The
+    /// program-level fields (`static_before`/`static_after`/`superblocks`)
+    /// are the caller's.
+    pub(crate) fn absorb(&mut self, local: &FormStats) {
+        self.tail_dup_blocks += local.tail_dup_blocks;
+        self.enlarged_blocks += local.enlarged_blocks;
+        self.skipped_low_completion += local.skipped_low_completion;
+        self.splits += local.splits;
+    }
+}
+
 /// A formed program: the superblock partition per procedure.
 #[derive(Debug, Clone)]
 pub struct FormedProgram {
@@ -187,10 +200,7 @@ pub fn form_program_parallel(
                 .collect::<Vec<SuperblockSpec>>(),
         );
         orig_maps.push(orig_of);
-        stats.tail_dup_blocks += local.tail_dup_blocks;
-        stats.enlarged_blocks += local.enlarged_blocks;
-        stats.skipped_low_completion += local.skipped_low_completion;
-        stats.splits += local.splits;
+        stats.absorb(&local);
     }
     stats.static_after = program.static_size() as u64;
     stats.superblocks = partition.iter().map(|p: &Vec<SuperblockSpec>| p.len() as u64).sum();

@@ -103,8 +103,8 @@ impl<'p> Exec<'p> {
 
     /// Creates an executor using [`current_engine`], decoding through
     /// `cache` so unchanged procedures reuse their memoized streams (the
-    /// guard's oracle re-runs after every per-procedure transform; only the
-    /// mutated procedure re-decodes).
+    /// guard's oracle re-runs while it bisects for a failing procedure;
+    /// only the procedures it swapped re-decode).
     pub fn new_cached(program: &'p Program, config: ExecConfig, cache: &mut AnalysisCache) -> Self {
         let decoded = match current_engine() {
             Engine::Fast => Some(DecodedProgram::decode_cached(program, cache)),

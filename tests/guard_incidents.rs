@@ -81,7 +81,11 @@ fn render_report(out: &mut String, report: &GuardReport) {
     }
 }
 
-fn render_outcome(out: &mut String, mode: GuardMode, outcome: &Result<GuardedResult, PipelineError>) {
+fn render_outcome(
+    out: &mut String,
+    mode: GuardMode,
+    outcome: &Result<GuardedResult, PipelineError>,
+) {
     match outcome {
         Ok(result) => {
             writeln!(out, " {mode}: ok").unwrap();
@@ -93,7 +97,11 @@ fn render_outcome(out: &mut String, mode: GuardMode, outcome: &Result<GuardedRes
 
 /// The guardrails fault sweep, both modes, every seed.
 fn render_fault_sweep(out: &mut String) {
-    writeln!(out, "== guardrails fault sweep ({SEEDS} generated programs) ==").unwrap();
+    writeln!(
+        out,
+        "== guardrails fault sweep ({SEEDS} generated programs) =="
+    )
+    .unwrap();
     for seed in 0..SEEDS {
         let base = gen_program(seed, GenConfig::default());
         let scheme = SCHEMES[(seed % 4) as usize];
@@ -130,7 +138,10 @@ fn render_fault_sweep(out: &mut String) {
 /// suite (degrade mode, the runner default).
 fn render_run_scheme_faults(out: &mut String) {
     writeln!(out, "== run_scheme fault_seed over the scale-1 suite ==").unwrap();
-    let config = RunConfig { fault_seed: Some(0x5EED), ..RunConfig::paper() };
+    let config = RunConfig {
+        fault_seed: Some(0x5EED),
+        ..RunConfig::paper()
+    };
     for bench in all_benchmarks(Scale(1)) {
         for scheme in [Scheme::M4, Scheme::P4] {
             let run = run_scheme(&bench, scheme, &config)
@@ -204,7 +215,12 @@ fn five_helpers() -> Program {
 fn corrupt_silently(program: &mut Program, pid: ProcId) {
     for block in &mut program.procs[pid.index()].blocks {
         for instr in &mut block.instrs {
-            if let Instr::Alu { op: AluOp::Mul, rhs: Operand::Imm(c), .. } = instr {
+            if let Instr::Alu {
+                op: AluOp::Mul,
+                rhs: Operand::Imm(c),
+                ..
+            } = instr
+            {
                 *c += 1;
             }
         }

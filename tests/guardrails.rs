@@ -194,8 +194,8 @@ fn clean_guarded_runs_report_clean_and_preserve_behavior() {
 /// Engine parity (ISSUE: flat pre-decoded interpreter): the guard's
 /// `run_bounded` differential oracle, rollback, and degrade behavior must
 /// be *identical* whichever execution engine is active — the injector's
-/// effectiveness probe, the oracle baselines, and the per-procedure oracle
-/// re-runs all go through the engine-dispatched `Exec`. Each sweep runs
+/// effectiveness probe, the oracle baselines, and the whole-program oracle
+/// checks all go through the engine-dispatched `Exec`. Each sweep runs
 /// inside `catch_unwind`: the guard's recovery boundary must contain every
 /// fault under the fast engine exactly as it does under the reference
 /// engine, and never let a panic escape.
