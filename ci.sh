@@ -39,8 +39,8 @@
 #                             injected variants run on both engines
 #                             (results, traces, bounded prefixes, sim
 #                             tables must match exactly), plus the golden
-#                             table and guard-incident byte-stability
-#                             suites — in release mode,
+#                             table, guard-incident and path-profile
+#                             byte-stability suites — in release mode,
 #                             the configuration the harness actually ships
 #   ./ci.sh kpath-smoke       the k-iteration / interprocedural scheme
 #                             family end to end: regenerate the Figure 4
@@ -524,6 +524,7 @@ interp_diff() {
   cargo test --release -q --test interp_diff
   cargo test --release -q --test guardrails
   cargo test --release -q --test guard_incidents
+  cargo test --release -q --test path_profiles
   cargo test --release -q --test golden_tables
 }
 
