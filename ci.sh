@@ -8,7 +8,9 @@
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
 #                             invalid --trace-out/--metrics-out JSON, or
 #                             unless guard.oracle_runs is exactly one per
-#                             cell
+#                             cell and every trained path profile stores
+#                             at most as many windows as it had cache
+#                             misses
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
 #                             fails if tables or metrics differ by a byte
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
@@ -104,6 +106,23 @@ obs_smoke() {
     echo "guard.oracle_runs: $ones of $series series equal 1, want one per cell ($cells cells)"
     exit 1
   fi
+  # Every profile series records how many distinct maximal windows it
+  # stores. The path profiler stores a window only on a transition-cache
+  # miss, so a trained profile never holds more windows than it had
+  # misses (profiles derived from k-iteration runs have no misses).
+  trained=0
+  while read -r labels misses; do
+    windows="$(grep -F "\"name\":\"profile.path.windows\",\"labels\":$labels," "$out/metrics.json" \
+      | sed 's/.*"value":\([0-9]*\)}.*/\1/')"
+    [ -n "$windows" ] || { echo "profile.path.windows missing for $labels"; exit 1; }
+    if [ "$misses" -gt 0 ]; then
+      trained=$((trained + 1))
+      [ "$windows" -le "$misses" ] \
+        || { echo "profile.path.windows $windows > cache_misses $misses for $labels"; exit 1; }
+    fi
+  done < <(grep '"name":"profile.path.cache_misses",' "$out/metrics.json" \
+    | sed 's/.*"labels":\({[^}]*}\),"value":\([0-9]*\)}.*/\1 \2/')
+  [ "$trained" -gt 0 ] || { echo "no trained path profile in the run"; exit 1; }
   rm -rf "$out"
 }
 

@@ -20,7 +20,7 @@
 //! unchanged over k-iteration data: enlargement simply finds no support for
 //! extensions the profile never observed.
 
-use crate::path::PathProfile;
+use crate::path::{PathProfile, WindowSet};
 use pps_ir::analysis::ProcAnalysis;
 use pps_ir::{BlockId, ProcId, Program, TraceSink};
 use std::collections::{HashMap, HashSet};
@@ -201,16 +201,16 @@ impl KPathProfile {
             .counts
             .iter()
             .map(|m| {
-                let mut windows: Vec<(Vec<BlockId>, u64)> = Vec::new();
+                let mut windows = WindowSet::default();
                 for (path, &count) in m {
                     for end in 1..=path.len() {
-                        windows.push((path[..end].to_vec(), count));
+                        windows.push(&path[..end], count);
                     }
                 }
                 windows
             })
             .collect();
-        PathProfile::from_windows(depth, per_proc)
+        PathProfile::from_sets(depth, per_proc)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   conditional/multiway branches, collected lazily with cached successor
 //!   transitions so steady-state work is O(1) per dynamic edge. Frequencies
 //!   of arbitrary contiguous block sequences (up to the depth bound) are
-//!   answered exactly via suffix sums over a reversed trie.
+//!   answered exactly as range sums over a sorted table of reversed
+//!   maximal windows.
 //! - [`forward::ForwardPathProfiler`] — Ball–Larus-style forward paths
 //!   (chopped at back edges), included for comparison with prior work (§5).
 //! - [`kpath::KPathProfiler`] — k-iteration Ball–Larus paths

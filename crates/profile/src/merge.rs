@@ -102,7 +102,8 @@ pub fn merge_edges(a: &EdgeProfile, b: &EdgeProfile) -> Result<EdgeProfile, Merg
 
 /// Merges two general path profiles by adding their maximal-window counts
 /// (saturating). The result answers every [`PathProfile::freq`] query with
-/// the sum of the operands' answers.
+/// the sum of the operands' answers. Each procedure's two sorted window
+/// tables are merged in one linear pass.
 ///
 /// # Errors
 /// [`MergeError::DepthMismatch`] / [`MergeError::ShapeMismatch`] when the
@@ -114,17 +115,7 @@ pub fn merge_paths(a: &PathProfile, b: &PathProfile) -> Result<PathProfile, Merg
     if a.num_procs() != b.num_procs() {
         return Err(MergeError::ShapeMismatch { left: a.num_procs(), right: b.num_procs() });
     }
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::with_capacity(a.num_procs());
-    for pi in 0..a.num_procs() {
-        let pid = ProcId::new(pi as u32);
-        let mut counts: HashMap<Vec<BlockId>, u64> = a.iter_maximal_windows(pid).into_iter().collect();
-        for (window, count) in b.iter_maximal_windows(pid) {
-            let slot = counts.entry(window).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        per_proc.push(counts.into_iter().collect());
-    }
-    Ok(PathProfile::from_windows(a.depth(), per_proc))
+    Ok(a.merge_counts(b))
 }
 
 /// Merges two k-iteration path profiles by adding their completed-path

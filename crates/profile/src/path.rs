@@ -8,98 +8,165 @@
 //!
 //! Because every trace position ends exactly one maximal window, the
 //! frequency of an arbitrary sequence `t` (within the depth bound) is the
-//! sum of the counts of all maximal windows having `t` as a suffix. Windows
-//! are stored in a trie keyed by the *reversed* block sequence, which turns
-//! that suffix-sum into a subtree sum.
+//! sum of the counts of all maximal windows having `t` as a suffix. A frozen
+//! profile stores each procedure's distinct maximal windows *reversed*
+//! (newest block first) in one arena, sorted, with prefix sums of their
+//! counts. The windows ending in `t` are then exactly the reversed windows
+//! starting with `reverse(t)`: a contiguous range found by two binary
+//! searches, whose count sum is one subtraction.
 //!
-//! The paper's two efficiency observations are implemented directly:
+//! The paper's two efficiency observations shape the live profiler:
 //!
 //! 1. *"The number of successors to a path is small … the only possible next
 //!    path will be either BCDX or BCDY"* — a lazily populated transition
-//!    cache maps `(window-node, next-block)` to the successor window-node,
-//!    so steady-state profiling work is O(1) per dynamic edge.
+//!    cache maps `(window, next-block)` to the successor window, so
+//!    steady-state profiling work is O(1) per dynamic edge.
 //! 2. *"We do not expect to execute all possible paths … lazily explore the
-//!    space of possible paths"* — trie nodes are created only when their
-//!    path is first observed, giving O(n_paths + n_edges) total work.
+//!    space of possible paths"* — a window is stored only when it is first
+//!    observed.
+//!
+//! Neither observation holds on every program. On the gcc analog at scale 4
+//! the depth-15 training run misses the transition cache on 46% of its
+//! block events (192,182 of 414,131), so a miss has to be cheap as well. A
+//! miss hashes the whole window once into an open-addressing table of
+//! distinct windows and appends the window to the arena when it is new. It
+//! allocates nothing per window, where a trie keyed by reversed windows
+//! would walk and allocate a node per new suffix (about 20 per miss on
+//! gcc).
 
+use pps_ir::hash::splitmix64;
 use pps_ir::{BlockId, ProcId, Program, TraceSink};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// The paper's path-length limit: up to 15 conditional or multiway branches.
 pub const DEFAULT_PATH_DEPTH: usize = 15;
 
-type NodeId = u32;
-const ROOT: NodeId = 0;
+/// Dense id of a distinct maximal window within one procedure.
+type WindowId = u32;
+/// The empty window a fresh activation starts from; never stored.
+const NO_WINDOW: WindowId = WindowId::MAX;
 
-/// One trie node. The trie is keyed by reversed block sequences: the node
-/// for path `b1 … bk` is reached from the root via `bk, bk-1, …, b1`.
-/// Occurrence counts live in a separate dense array (`ProcTable::counts`,
-/// `Trie::counts`): the per-block-event hot path only bumps a `u64`, without
-/// dragging each node's child map into cache.
-///
-/// Children are a linear-scanned association list, not a hash map: a path
-/// node's fan-out is bounded by its block's successor count (the paper's
-/// "the number of successors to a path is small"), and profiles at scale
-/// allocate millions of nodes — one `HashMap` each was measurable in both
-/// time and allocator traffic.
+/// Maximal windows with their counts, each stored newest block first and
+/// all concatenated in one arena.
 #[derive(Debug, Clone)]
-struct Node {
-    /// `(next-older block, child)` pairs, in first-observed order.
-    children: Vec<(BlockId, NodeId)>,
-}
-
-impl Node {
-    fn new() -> Self {
-        Node { children: Vec::new() }
-    }
-
-    fn child(&self, block: BlockId) -> Option<NodeId> {
-        self.children.iter().find(|(b, _)| *b == block).map(|&(_, id)| id)
-    }
-}
-
-/// The trie structure plus its per-node maximal-window counts.
-#[derive(Debug, Default)]
-struct Trie {
-    nodes: Vec<Node>,
-    /// `counts[n]` = times node `n`'s path occurred as a maximal window.
+pub(crate) struct WindowSet {
+    blocks: Vec<BlockId>,
+    /// Window `i` is `blocks[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
     counts: Vec<u64>,
 }
 
-impl Trie {
-    fn new() -> Self {
-        Trie { nodes: vec![Node::new()], counts: vec![0] }
+impl Default for WindowSet {
+    fn default() -> Self {
+        WindowSet { blocks: Vec::new(), starts: vec![0], counts: Vec::new() }
+    }
+}
+
+impl WindowSet {
+    fn len(&self) -> usize {
+        self.counts.len()
     }
 
-    /// Finds or creates the node for `blocks` (given oldest-first;
-    /// interned newest-first).
-    fn intern(&mut self, blocks: &VecDeque<BlockId>) -> NodeId {
-        let mut cur = ROOT;
-        for &b in blocks.iter().rev() {
-            cur = match self.nodes[cur as usize].child(b) {
-                Some(id) => id,
-                None => {
-                    let id = self.nodes.len() as NodeId;
-                    self.nodes[cur as usize].children.push((b, id));
-                    self.nodes.push(Node::new());
-                    self.counts.push(0);
-                    id
-                }
-            };
+    /// Window `i`, newest block first.
+    fn window(&self, i: usize) -> &[BlockId] {
+        &self.blocks[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Appends a window given newest block first.
+    fn push_newest_first(&mut self, blocks: impl IntoIterator<Item = BlockId>, count: u64) {
+        self.blocks.extend(blocks);
+        self.starts.push(self.blocks.len());
+        self.counts.push(count);
+    }
+
+    /// Appends a window given oldest block first, as queries and
+    /// [`PathProfile::iter_maximal_windows`] spell it.
+    pub(crate) fn push(&mut self, window: &[BlockId], count: u64) {
+        self.push_newest_first(window.iter().rev().copied(), count);
+    }
+}
+
+/// Live intern table: every distinct maximal window of one procedure once,
+/// under a dense [`WindowId`], with its occurrence count.
+#[derive(Debug, Default)]
+struct WindowTable {
+    windows: WindowSet,
+    /// `hashes[id]` = hash of window `id`; a cheap probe filter and the
+    /// rehash key when the slots grow.
+    hashes: Vec<u64>,
+    /// Open-addressing slots holding window ids, linear probing;
+    /// `NO_WINDOW` marks an empty slot.
+    slots: Vec<WindowId>,
+}
+
+impl WindowTable {
+    /// Deterministic hash of a window, newest block first (the stored
+    /// order): a multiply-rotate fold finished with splitmix64. Like
+    /// `TransCache`'s, it has no per-process seed and is not hardened
+    /// against crafted collisions; its keys come from the profiled
+    /// program's own trace.
+    fn hash(window: &VecDeque<BlockId>) -> u64 {
+        let mut h = window.len() as u64;
+        for b in window.iter().rev() {
+            h = (h.rotate_left(5) ^ b.index() as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        cur
+        splitmix64(h)
+    }
+
+    /// Finds or stores `window` (given oldest first; stored newest first).
+    fn intern(&mut self, window: &VecDeque<BlockId>) -> WindowId {
+        if (self.windows.len() + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let hash = Self::hash(window);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let id = self.slots[i];
+            if id == NO_WINDOW {
+                break;
+            }
+            if self.hashes[id as usize] == hash
+                && self.windows.window(id as usize).iter().eq(window.iter().rev())
+            {
+                return id;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = WindowId::try_from(self.windows.len())
+            .ok()
+            .filter(|&id| id != NO_WINDOW)
+            .expect("window ids fit in u32");
+        self.windows.push_newest_first(window.iter().rev().copied(), 0);
+        self.hashes.push(hash);
+        self.slots[i] = id;
+        id
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(64);
+        let mask = cap - 1;
+        self.slots = vec![NO_WINDOW; cap];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut i = hash as usize & mask;
+            while self.slots[i] != NO_WINDOW {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id as WindowId;
+        }
     }
 }
 
 /// Open-addressing memo for the paper's successor-path pointers:
-/// `(window node, entered block)` packed into a `u64` key, Fibonacci-hashed,
+/// `(window, entered block)` packed into a `u64` key, Fibonacci-hashed,
 /// linear probing. This sits on the per-block-event hot path; a `HashMap`
 /// here (SipHash per event) dominated whole-pipeline profiling cost.
 #[derive(Debug, Default)]
 struct TransCache {
     /// Packed keys; `u64::MAX` marks an empty slot.
     keys: Vec<u64>,
-    vals: Vec<NodeId>,
+    vals: Vec<WindowId>,
     len: usize,
 }
 
@@ -107,8 +174,8 @@ const EMPTY_KEY: u64 = u64::MAX;
 
 impl TransCache {
     #[inline]
-    fn pack(node: NodeId, block: BlockId) -> u64 {
-        (u64::from(node) << 32) | u64::from(block.index() as u32)
+    fn pack(window: WindowId, block: BlockId) -> u64 {
+        (u64::from(window) << 32) | u64::from(block.index() as u32)
     }
 
     #[inline]
@@ -119,11 +186,11 @@ impl TransCache {
     }
 
     #[inline]
-    fn get(&self, node: NodeId, block: BlockId) -> Option<NodeId> {
+    fn get(&self, window: WindowId, block: BlockId) -> Option<WindowId> {
         if self.keys.is_empty() {
             return None;
         }
-        let key = Self::pack(node, block);
+        let key = Self::pack(window, block);
         let mask = self.keys.len() - 1;
         let mut i = self.slot_of(key);
         loop {
@@ -136,11 +203,11 @@ impl TransCache {
     }
 
     /// Inserts a key known to be absent (callers probe with `get` first).
-    fn insert(&mut self, node: NodeId, block: BlockId, val: NodeId) {
+    fn insert(&mut self, window: WindowId, block: BlockId, val: WindowId) {
         if self.len * 4 >= self.keys.len() * 3 {
             self.grow();
         }
-        let key = Self::pack(node, block);
+        let key = Self::pack(window, block);
         debug_assert_ne!(key, EMPTY_KEY);
         let mask = self.keys.len() - 1;
         let mut i = self.slot_of(key);
@@ -175,9 +242,9 @@ impl TransCache {
 /// Per-procedure profiling state.
 #[derive(Debug)]
 struct ProcTable {
-    trie: Trie,
-    /// Paper's successor-path pointers: (current window node, entered block)
-    /// → next window node.
+    table: WindowTable,
+    /// Paper's successor-path pointers: (current window, entered block)
+    /// → next window.
     transitions: TransCache,
     /// One live window per activation (stack handles recursion).
     activations: Vec<Window>,
@@ -186,7 +253,8 @@ struct ProcTable {
     free_windows: Vec<Window>,
     /// Whether each block's terminator is a counted branch.
     is_branch: Vec<bool>,
-    /// Cache statistics: transition-cache misses (new path suffixes built).
+    /// Cache statistics: transition-cache misses (windows looked up in the
+    /// intern table).
     cache_misses: u64,
     /// Cache statistics: transition-cache hits (O(1) steps).
     cache_hits: u64,
@@ -198,14 +266,14 @@ struct Window {
     blocks: VecDeque<BlockId>,
     /// Number of counted branches among all blocks except the newest.
     branches: usize,
-    /// Trie node of the current window.
-    node: NodeId,
+    /// Intern-table id of the current window.
+    id: WindowId,
 }
 
 impl ProcTable {
     fn new(is_branch: Vec<bool>) -> Self {
         ProcTable {
-            trie: Trie::new(),
+            table: WindowTable::default(),
             transitions: TransCache::default(),
             activations: Vec::new(),
             free_windows: Vec::new(),
@@ -220,10 +288,10 @@ impl ProcTable {
             Some(mut w) => {
                 w.blocks.clear();
                 w.branches = 0;
-                w.node = ROOT;
+                w.id = NO_WINDOW;
                 w
             }
-            None => Window { blocks: VecDeque::new(), branches: 0, node: ROOT },
+            None => Window { blocks: VecDeque::new(), branches: 0, id: NO_WINDOW },
         };
         self.activations.push(win);
     }
@@ -251,17 +319,17 @@ impl ProcTable {
                 win.branches -= 1;
             }
         }
-        // Locate the trie node via the transition cache.
-        if let Some(next) = self.transitions.get(win.node, block) {
+        // Locate the window's id via the transition cache.
+        if let Some(next) = self.transitions.get(win.id, block) {
             self.cache_hits += 1;
-            win.node = next;
+            win.id = next;
         } else {
             self.cache_misses += 1;
-            let next = self.trie.intern(&win.blocks);
-            self.transitions.insert(win.node, block, next);
-            win.node = next;
+            let next = self.table.intern(&win.blocks);
+            self.transitions.insert(win.id, block, next);
+            win.id = next;
         }
-        self.trie.counts[win.node as usize] += 1;
+        self.table.windows.counts[win.id as usize] += 1;
     }
 }
 
@@ -296,13 +364,14 @@ impl PathProfiler {
         PathProfiler { tables, depth }
     }
 
-    /// Freezes into a queryable profile, computing subtree sums.
+    /// Freezes into a queryable profile: sorts each procedure's windows and
+    /// computes their count prefix sums.
     pub fn finish(self) -> PathProfile {
         let depth = self.depth;
         let procs = self
             .tables
             .into_iter()
-            .map(|t| FrozenTable::from_trie(t.trie, t.cache_hits, t.cache_misses))
+            .map(|t| FrozenTable::build(t.table.windows, t.cache_hits, t.cache_misses))
             .collect();
         PathProfile { procs, depth }
     }
@@ -323,56 +392,104 @@ impl TraceSink for PathProfiler {
     }
 }
 
-#[derive(Debug, Clone)]
-struct FrozenNode {
-    count: u64,
-    /// Count of this node plus all descendants: the frequency of the
-    /// (reversed-keyed) path as a *suffix* of maximal windows — i.e. its
-    /// true occurrence frequency.
-    subtree: u64,
-    children: Vec<(BlockId, NodeId)>,
-}
-
-impl FrozenNode {
-    fn child(&self, block: BlockId) -> Option<NodeId> {
-        self.children.iter().find(|(b, _)| *b == block).map(|&(_, id)| id)
-    }
-}
-
+/// One procedure's frozen profile.
 #[derive(Debug, Clone)]
 struct FrozenTable {
-    nodes: Vec<FrozenNode>,
+    /// Distinct windows, newest block first, in ascending lexicographic
+    /// order.
+    windows: WindowSet,
+    /// `cum[i]` = sum of the counts of windows `0..i`. Wrapping, so the
+    /// difference over any range is exact whenever that range's own sum
+    /// fits in a `u64`.
+    cum: Vec<u64>,
+    /// Distinct non-empty suffixes of the stored windows: the nodes a trie
+    /// keyed by reversed windows would hold (the paper's `npaths`).
+    distinct_paths: usize,
     cache_hits: u64,
     cache_misses: u64,
 }
 
-impl FrozenTable {
-    fn from_trie(trie: Trie, cache_hits: u64, cache_misses: u64) -> Self {
-        let mut frozen: Vec<FrozenNode> = trie
-            .nodes
-            .into_iter()
-            .zip(trie.counts)
-            .map(|(n, count)| FrozenNode { count, subtree: count, children: n.children })
-            .collect();
-        // Children always have larger ids than parents (created later), so a
-        // reverse scan accumulates subtree sums bottom-up.
-        for i in (0..frozen.len()).rev() {
-            let kids: Vec<NodeId> = frozen[i].children.iter().map(|&(_, k)| k).collect();
-            let mut sum = frozen[i].count;
-            for k in kids {
-                sum += frozen[k as usize].subtree;
-            }
-            frozen[i].subtree = sum;
+/// First index in `lo..hi` at which `before` is false; `before` must hold
+/// on a prefix of the range.
+fn partition(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
-        FrozenTable { nodes: frozen, cache_hits, cache_misses }
+    }
+    lo
+}
+
+impl FrozenTable {
+    /// Sorts `set` and sums the counts of duplicate windows (saturating).
+    fn build(set: WindowSet, cache_hits: u64, cache_misses: u64) -> Self {
+        let mut order: Vec<usize> = (0..set.len()).collect();
+        order.sort_unstable_by(|&a, &b| set.window(a).cmp(set.window(b)));
+        Self::from_sorted(
+            order.into_iter().map(|i| (set.window(i), set.counts[i])),
+            cache_hits,
+            cache_misses,
+        )
     }
 
-    fn lookup(&self, seq: &[BlockId]) -> Option<&FrozenNode> {
-        let mut cur = ROOT;
-        for &b in seq.iter().rev() {
-            cur = self.nodes[cur as usize].child(b)?;
+    /// Freezes windows (newest block first) that arrive in ascending
+    /// order; equal neighbours are summed (saturating).
+    fn from_sorted<'w>(
+        sorted: impl Iterator<Item = (&'w [BlockId], u64)>,
+        cache_hits: u64,
+        cache_misses: u64,
+    ) -> Self {
+        let mut windows = WindowSet::default();
+        let mut distinct_paths = 0;
+        for (w, count) in sorted {
+            let prev = windows.len().checked_sub(1).map(|i| windows.window(i));
+            if prev == Some(w) {
+                let last = windows.counts.last_mut().expect("previous window");
+                *last = last.saturating_add(count);
+                continue;
+            }
+            debug_assert!(prev.is_none_or(|p| p < w), "windows arrive sorted");
+            // In sorted order the new trie nodes of `w` are exactly those
+            // below its longest common prefix with the previous window.
+            let lcp = prev.map_or(0, |p| p.iter().zip(w).take_while(|(a, b)| a == b).count());
+            distinct_paths += w.len() - lcp;
+            windows.push_newest_first(w.iter().copied(), count);
         }
-        Some(&self.nodes[cur as usize])
+        let mut cum = Vec::with_capacity(windows.len() + 1);
+        let mut sum = 0u64;
+        cum.push(sum);
+        for &c in &windows.counts {
+            sum = sum.wrapping_add(c);
+            cum.push(sum);
+        }
+        FrozenTable { windows, cum, distinct_paths, cache_hits, cache_misses }
+    }
+
+    /// The windows whose stored (newest-first) form starts with
+    /// `reverse(seq)` — the windows ending in `seq` — as an index range.
+    fn ending_in(&self, seq: &[BlockId]) -> (usize, usize) {
+        let key = || seq.iter().rev();
+        let n = self.windows.len();
+        let lo = partition(0, n, |i| self.windows.window(i).iter().lt(key()));
+        let hi = partition(lo, n, |i| self.windows.window(i).iter().take(seq.len()).eq(key()));
+        (lo, hi)
+    }
+
+    /// Stored windows (newest block first) with nonzero counts, in
+    /// ascending order.
+    fn live_windows(&self) -> impl Iterator<Item = (&[BlockId], u64)> {
+        (0..self.windows.len())
+            .map(|i| (self.windows.window(i), self.windows.counts[i]))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// Index of the window exactly equal to `seq`, if stored.
+    fn find(&self, seq: &[BlockId]) -> Option<usize> {
+        let (lo, hi) = self.ending_in(seq);
+        (lo < hi && self.windows.window(lo).len() == seq.len()).then_some(lo)
     }
 }
 
@@ -408,20 +525,17 @@ impl PathProfile {
         if seq.is_empty() {
             return 0;
         }
-        self.procs[proc.index()]
-            .lookup(seq)
-            .map(|n| n.subtree)
-            .unwrap_or(0)
+        let table = &self.procs[proc.index()];
+        let (lo, hi) = table.ending_in(seq);
+        table.cum[hi].wrapping_sub(table.cum[lo])
     }
 
     /// Frequency with which `seq` was executed *and was the end of an
     /// activation-maximal window* — exposed for testing the window
     /// mechanics; most callers want [`freq`](Self::freq).
     pub fn maximal_window_count(&self, proc: ProcId, seq: &[BlockId]) -> u64 {
-        self.procs[proc.index()]
-            .lookup(seq)
-            .map(|n| n.count)
-            .unwrap_or(0)
+        let table = &self.procs[proc.index()];
+        table.find(seq).map_or(0, |i| table.windows.counts[i])
     }
 
     /// Execution frequency of a single block, derived from the path table
@@ -461,10 +575,12 @@ impl PathProfile {
         &seq[start..]
     }
 
-    /// Number of distinct paths (trie nodes, excluding the root) recorded
-    /// for `proc` — the paper's `npaths`.
+    /// Number of distinct paths recorded for `proc` — the paper's
+    /// `npaths`: the distinct non-empty suffixes of its maximal windows,
+    /// which are the nodes (excluding the root) of a trie keyed by
+    /// reversed windows.
     pub fn distinct_paths(&self, proc: ProcId) -> usize {
-        self.procs[proc.index()].nodes.len().saturating_sub(1)
+        self.procs[proc.index()].distinct_paths
     }
 
     /// Transition-cache statistics `(hits, misses)` for `proc`; the paper's
@@ -474,20 +590,20 @@ impl PathProfile {
         (t.cache_hits, t.cache_misses)
     }
 
-    /// Records profile summary metrics into `obs`: distinct paths and
-    /// transition-cache totals across all procedures, plus the profiling
-    /// depth, as `profile.path.*` counters.
+    /// Records profile summary metrics into `obs`: distinct paths, stored
+    /// maximal windows and transition-cache totals across all procedures,
+    /// plus the profiling depth, as `profile.path.*` counters.
     pub fn record_metrics(&self, obs: &pps_obs::Obs) {
-        let mut paths = 0u64;
+        let (mut paths, mut windows) = (0u64, 0u64);
         let (mut hits, mut misses) = (0u64, 0u64);
-        for pi in 0..self.num_procs() {
-            let pid = ProcId::new(pi as u32);
-            paths += self.distinct_paths(pid) as u64;
-            let (h, m) = self.cache_stats(pid);
-            hits += h;
-            misses += m;
+        for t in &self.procs {
+            paths += t.distinct_paths as u64;
+            windows += t.windows.len() as u64;
+            hits += t.cache_hits;
+            misses += t.cache_misses;
         }
         obs.counter("profile.path.distinct_paths", paths);
+        obs.counter("profile.path.windows", windows);
         obs.counter("profile.path.cache_hits", hits);
         obs.counter("profile.path.cache_misses", misses);
         obs.counter("profile.path.depth", self.depth as u64);
@@ -499,45 +615,64 @@ impl PathProfile {
     /// [`from_windows`](Self::from_windows) — the basis of profile
     /// serialization.
     pub fn iter_maximal_windows(&self, proc: ProcId) -> Vec<(Vec<BlockId>, u64)> {
-        let table = &self.procs[proc.index()];
-        let mut out = Vec::new();
-        // DFS from the root; the trie is keyed newest-first, so the
-        // accumulated key must be reversed to yield the window.
-        let mut stack: Vec<(NodeId, Vec<BlockId>)> = vec![(ROOT, Vec::new())];
-        while let Some((node, key)) = stack.pop() {
-            let n = &table.nodes[node as usize];
-            if n.count > 0 {
-                let mut window = key.clone();
-                window.reverse();
-                out.push((window, n.count));
-            }
-            let mut kids: Vec<(BlockId, NodeId)> = n.children.clone();
-            kids.sort_by_key(|(b, _)| *b);
-            for (b, child) in kids {
-                let mut k = key.clone();
-                k.push(b);
-                stack.push((child, k));
-            }
-        }
-        out
+        self.procs[proc.index()]
+            .live_windows()
+            .map(|(w, count)| (w.iter().rev().copied().collect(), count))
+            .collect()
     }
 
     /// Reconstructs a profile from per-procedure maximal-window counts (as
     /// produced by [`iter_maximal_windows`](Self::iter_maximal_windows)).
+    /// Repeated windows have their counts summed; zero-count windows answer
+    /// no query but still count toward [`distinct_paths`](Self::distinct_paths).
     pub fn from_windows(depth: usize, per_proc: Vec<Vec<(Vec<BlockId>, u64)>>) -> PathProfile {
-        let procs = per_proc
+        let sets = per_proc
             .into_iter()
             .map(|windows| {
-                let mut trie = Trie::new();
+                let mut set = WindowSet::default();
                 for (window, count) in windows {
-                    let deque: VecDeque<BlockId> = window.into_iter().collect();
-                    let id = trie.intern(&deque);
-                    trie.counts[id as usize] += count;
+                    set.push(&window, count);
                 }
-                FrozenTable::from_trie(trie, 0, 0)
+                set
             })
             .collect();
+        Self::from_sets(depth, sets)
+    }
+
+    /// [`from_windows`](Self::from_windows) over windows already gathered
+    /// into one arena per procedure.
+    pub(crate) fn from_sets(depth: usize, per_proc: Vec<WindowSet>) -> PathProfile {
+        let procs = per_proc.into_iter().map(|set| FrozenTable::build(set, 0, 0)).collect();
         PathProfile { procs, depth }
+    }
+
+    /// Adds `other`'s window counts to this profile's (saturating) by one
+    /// linear merge of each procedure's two sorted tables. Zero-count
+    /// windows are dropped, as [`iter_maximal_windows`](Self::iter_maximal_windows)
+    /// drops them. Callers check that depths and procedure counts match.
+    pub(crate) fn merge_counts(&self, other: &PathProfile) -> PathProfile {
+        let procs = self
+            .procs
+            .iter()
+            .zip(&other.procs)
+            .map(|(a, b)| {
+                let (mut xs, mut ys) = (a.live_windows().peekable(), b.live_windows().peekable());
+                let merged = std::iter::from_fn(|| match (xs.peek(), ys.peek()) {
+                    (Some(&(x, cx)), Some(&(y, cy))) => match x.cmp(y) {
+                        Ordering::Less => xs.next(),
+                        Ordering::Greater => ys.next(),
+                        Ordering::Equal => {
+                            xs.next();
+                            ys.next();
+                            Some((x, cx.saturating_add(cy)))
+                        }
+                    },
+                    _ => xs.next().or_else(|| ys.next()),
+                });
+                FrozenTable::from_sorted(merged, 0, 0)
+            })
+            .collect();
+        PathProfile { procs, depth: self.depth }
     }
 }
 

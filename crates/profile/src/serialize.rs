@@ -20,7 +20,7 @@
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
-use crate::path::PathProfile;
+use crate::path::{PathProfile, WindowSet};
 use pps_ir::{BlockId, ProcId};
 use std::collections::HashMap;
 use std::error::Error;
@@ -163,7 +163,8 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
         .strip_prefix("pps-path-profile v1 depth ")
         .and_then(|d| d.parse::<usize>().ok())
         .ok_or(ProfileParseError { line: ln, message: format!("bad header `{header}`") })?;
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::new();
+    let mut per_proc: Vec<WindowSet> = Vec::new();
+    let mut window: Vec<BlockId> = Vec::new();
     for (ln, l) in lines {
         if l.is_empty() {
             continue;
@@ -175,7 +176,7 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
             if pi != per_proc.len() {
                 return err(ln, "procs must appear in order");
             }
-            per_proc.push(Vec::new());
+            per_proc.push(WindowSet::default());
         } else if let Some(rest) = l.strip_prefix("window ") {
             let Some(cur) = per_proc.last_mut() else {
                 return err(ln, "window before proc");
@@ -185,7 +186,7 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or(ProfileParseError { line: ln, message: "bad window count".into() })?;
-            let mut window = Vec::new();
+            window.clear();
             for t in toks {
                 let b: u32 = t
                     .parse()
@@ -195,12 +196,12 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
             if window.is_empty() {
                 return err(ln, "empty window");
             }
-            cur.push((window, count));
+            cur.push(&window, count);
         } else {
             return err(ln, format!("unrecognized line `{l}`"));
         }
     }
-    Ok(PathProfile::from_windows(depth, per_proc))
+    Ok(PathProfile::from_sets(depth, per_proc))
 }
 
 /// Serializes a k-iteration path profile as its completed-path counts.

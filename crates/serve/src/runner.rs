@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Any failure of one benchmark × scheme run, with the benchmark name
 /// attached so sweep-level reports can say *which* run failed.
@@ -197,7 +197,7 @@ fn train_pair(bench: &Benchmark, depth: usize) -> Result<(EdgeProfile, PathProfi
 /// One k-iteration training run of `bench`, feeding the edge profiler and
 /// the k-iteration Ball–Larus profiler. The `Pk*` schemes derive their
 /// path profile from the returned [`KPathProfile`] (every prefix of every
-/// chopped k-path loaded as a suffix-trie window), so formation sees
+/// chopped k-path loaded as a maximal window), so formation sees
 /// cross-iteration context exactly where a recorded span witnessed it.
 pub fn train_kpair(
     bench: &Benchmark,
@@ -227,12 +227,14 @@ pub fn train_kpair(
 /// objects; the profilers are deterministic, so results are byte-identical
 /// to retraining per cell.
 ///
-/// Clones share the cache. The cache is thread-safe; when parallel workers
-/// race on an untrained benchmark, both train (outside the lock) and the
-/// first insert wins — either pair is the same value.
+/// Clones share the cache. The cache is thread-safe and single-flight per
+/// key: when parallel workers race on an untrained benchmark, the first
+/// trains and the others wait for its result — the pair, or the training
+/// error, which is then returned to every caller of that key.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileCache {
-    inner: Arc<Mutex<HashMap<ProfileKey, ProfilePair>>>,
+    inner: Arc<Mutex<HashMap<ProfileKey, Arc<ProfileSlot>>>>,
+    training_runs: Arc<AtomicU64>,
 }
 
 /// Cache key: `(benchmark name, path depth, k-iteration bound)` — `None`
@@ -240,6 +242,9 @@ pub struct ProfileCache {
 type ProfileKey = (String, usize, Option<u32>);
 /// Shared, immutable trained profile pair.
 type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
+/// One key's training outcome, filled once by the first caller while the
+/// others block on it.
+type ProfileSlot = OnceLock<Result<ProfilePair, RunError>>;
 
 impl ProfileCache {
     /// Returns `config` with [`RunConfig::preloaded`] filled from the
@@ -264,27 +269,29 @@ impl ProfileCache {
         }
         let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
         let key = (bench.name.to_string(), depth, scheme.kpath_k());
-        let cached = self.inner.lock().expect("profile cache lock").get(&key).cloned();
-        let pair = match cached {
-            Some(pair) => pair,
-            None => {
-                let trained = Arc::new(match scheme.kpath_k() {
+        let slot = self.inner.lock().expect("profile cache lock").entry(key).or_default().clone();
+        // Trains outside the map lock: other keys proceed, and callers of
+        // this key block in `get_or_init` until the first one finishes.
+        let pair = slot
+            .get_or_init(|| {
+                self.training_runs.fetch_add(1, Ordering::Relaxed);
+                let pair = match scheme.kpath_k() {
                     Some(k) => {
                         let (edge, kprof) = train_kpair(bench, k as usize)?;
-                        let path = kprof.to_path_profile(depth);
-                        (edge, path)
+                        (edge, kprof.to_path_profile(depth))
                     }
                     None => train_pair(bench, depth)?,
-                });
-                self.inner
-                    .lock()
-                    .expect("profile cache lock")
-                    .entry(key)
-                    .or_insert_with(|| trained.clone())
-                    .clone()
-            }
-        };
+                };
+                Ok(Arc::new(pair))
+            })
+            .clone()?;
         Ok(RunConfig { preloaded: Some(pair), ..config.clone() })
+    }
+
+    /// Training runs this cache (and its clones) started so far: one per
+    /// key, however many callers raced on it.
+    pub fn training_runs(&self) -> u64 {
+        self.training_runs.load(Ordering::Relaxed)
     }
 }
 
@@ -622,6 +629,65 @@ mod tests {
         let b = run_scheme(&bench, Scheme::PK2, &config).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.static_instrs, b.static_instrs);
+    }
+
+    #[test]
+    fn profile_cache_trains_each_key_once_under_contention() {
+        let bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+        let config = RunConfig::paper();
+        let cache = ProfileCache::default();
+        let barrier = std::sync::Barrier::new(4);
+        // Four workers race on each of two keys (the standard pair and the
+        // k = 2 pair); each key must be trained exactly once.
+        let pairs: Vec<Vec<ProfilePair>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        [Scheme::P4, Scheme::PK2, Scheme::M4, Scheme::PK2]
+                            .into_iter()
+                            .map(|scheme| {
+                                cache.fill(&bench, scheme, &config).unwrap().preloaded.unwrap()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.training_runs(), 2);
+        for worker in &pairs {
+            assert!(Arc::ptr_eq(&worker[0], &pairs[0][0]), "one standard pair");
+            assert!(Arc::ptr_eq(&worker[2], &pairs[0][0]), "M4 shares P4's pair");
+            assert!(Arc::ptr_eq(&worker[1], &pairs[0][1]), "one k = 2 pair");
+            assert!(Arc::ptr_eq(&worker[3], &pairs[0][1]));
+        }
+        assert!(!Arc::ptr_eq(&pairs[0][0], &pairs[0][1]), "kinds never alias");
+    }
+
+    #[test]
+    fn profile_cache_returns_a_training_error_to_every_caller() {
+        let mut bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+        // A training input the program cannot take: every caller sees the
+        // one training run's error.
+        bench.train_args = vec![0; 64];
+        let config = RunConfig::paper();
+        let cache = ProfileCache::default();
+        let barrier = std::sync::Barrier::new(4);
+        let errors: Vec<RunError> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.fill(&bench, Scheme::P4, &config).unwrap_err()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.training_runs(), 1);
+        assert!(matches!(errors[0], RunError::Exec { stage: "train run", .. }), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]));
     }
 
     #[test]

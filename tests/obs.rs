@@ -104,8 +104,8 @@ fn recorded_run_scheme_produces_parseable_trace_and_metrics() {
         .collect();
     for expected in [
         "form.superblocks", "form.traces_selected", "profile.edge.dyn_edges",
-        "profile.path.distinct_paths", "compact.superblocks", "sim.cycles",
-        "sim.icache.accesses",
+        "profile.path.distinct_paths", "profile.path.windows", "compact.superblocks",
+        "sim.cycles", "sim.icache.accesses",
     ] {
         assert!(counter_names.contains(&expected), "missing counter `{expected}`");
     }

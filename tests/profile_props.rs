@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// Recomputes, per procedure, every maximal window of the block trace and
-/// counts all suffix occurrences — the specification the trie implements.
+/// counts all suffix occurrences — the specification the window table
+/// implements.
 fn brute_force_freqs(
     program: &pps::ir::Program,
     events: &[pps::ir::BlockEvent],
